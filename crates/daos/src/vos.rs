@@ -6,7 +6,7 @@
 //! * **single values** (DFS inode entries, superblocks) — whole-value
 //!   updates, latest-wins at a given epoch;
 //! * **array values** (DFS file chunks) — extent records resolved by
-//!   overlaying later epochs over earlier ones, with sparse gaps reading
+//!   overlaying newer epochs over older ones, with sparse gaps reading
 //!   as zero (POSIX holes).
 //!
 //! Media selection follows DAOS policy: records at or below the SCM
@@ -14,8 +14,14 @@
 //! record carries a CRC32C computed at update and verified at fetch —
 //! the end-to-end checksum path of §2.4. Verification *combines* the
 //! media store's cached per-chunk CRCs against the recorded ones instead
-//! of rescanning payload bytes, and reads contained in one record return
-//! the store's zero-copy slice.
+//! of rescanning payload bytes.
+//!
+//! An array fetch resolves the overlay in the DRAM index *before* it
+//! touches media, as the DAOS extent tree does: records are ordered by
+//! epoch (newest first), each supplies only the bytes no newer record
+//! covers, and only those visible fragments are read and verified —
+//! shadowed bytes are never read from media. A fetch whose visible bytes
+//! come from one record returns the store's zero-copy slice.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -138,6 +144,95 @@ fn combine_recorded(
     Some(acc)
 }
 
+/// One piece of a fetch's visible view: the absolute array range
+/// `[from, to)`, supplied by `Overlay::records[rec]`.
+#[derive(Copy, Clone, Debug)]
+struct Fragment {
+    rec: usize,
+    from: u64,
+    to: u64,
+}
+
+/// The overlay resolver and its reused buffers. Every buffer is cleared
+/// per fetch and keeps its capacity, so the steady-state fetch path
+/// performs no heap allocation.
+#[derive(Debug, Default)]
+struct Overlay {
+    /// Records visible at the fetch epoch that intersect the request, as
+    /// `(epoch, insertion index)`, sorted newest first.
+    order: Vec<(Epoch, usize)>,
+    /// Still-uncovered sub-ranges of the request, ascending and disjoint;
+    /// what is left after resolution reads as zero.
+    gaps: Vec<(u64, u64)>,
+    /// Double buffer for rewriting `gaps`.
+    spare: Vec<(u64, u64)>,
+    /// The records that supply at least one fragment. Clones are O(1):
+    /// the checksum tables are Arc-shared.
+    records: Vec<ExtentRecord>,
+    /// The visible fragments, in resolution order.
+    frags: Vec<Fragment>,
+}
+
+impl Overlay {
+    /// Decides which record supplies each byte of `[offset, offset+len)`
+    /// at `epoch`, without touching media. Records are walked newest
+    /// `(epoch, insertion index)` first; each claims the still-uncovered
+    /// parts it overlaps, and the walk stops once nothing is uncovered.
+    fn resolve(&mut self, extents: &[ExtentRecord], epoch: Epoch, offset: u64, len: u64) {
+        let end = offset + len;
+        self.order.clear();
+        self.gaps.clear();
+        self.records.clear();
+        self.frags.clear();
+        if len == 0 {
+            return;
+        }
+        self.gaps.push((offset, end));
+        self.order.extend(
+            extents
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.epoch <= epoch && e.offset < end && e.offset + e.len > offset)
+                .map(|(i, e)| (e.epoch, i)),
+        );
+        // Keys are unique (the index breaks epoch ties), so an unstable
+        // sort is deterministic.
+        self.order.sort_unstable_by(|a, b| b.cmp(a));
+        for &(_, i) in &self.order {
+            let rec = &extents[i];
+            let (lo, hi) = (rec.offset, rec.offset + rec.len);
+            let slot = self.records.len();
+            let claimed = self.frags.len();
+            self.spare.clear();
+            for &(g0, g1) in &self.gaps {
+                let (from, to) = (g0.max(lo), g1.min(hi));
+                if from >= to {
+                    self.spare.push((g0, g1));
+                    continue;
+                }
+                self.frags.push(Fragment {
+                    rec: slot,
+                    from,
+                    to,
+                });
+                if g0 < from {
+                    self.spare.push((g0, from));
+                }
+                if to < g1 {
+                    self.spare.push((to, g1));
+                }
+            }
+            if self.frags.len() > claimed {
+                self.records.push(rec.clone());
+                std::mem::swap(&mut self.gaps, &mut self.spare);
+                if self.gaps.is_empty() {
+                    break;
+                }
+            }
+        }
+    }
+}
+
 #[derive(Clone, Debug, Default)]
 struct ValueStore {
     sv: Vec<SvRecord>,
@@ -247,9 +342,11 @@ pub struct VosTarget {
     /// SCM pool and the bdev backing and are merged by
     /// [`Self::data_plane_stats`] / the engine.
     dp: DataPlaneStats,
-    /// Reused buffer for the visible-extent set of a fetch (cleared per
-    /// call; record clones are O(1) — the checksum tables are Arc-shared).
-    visible_scratch: Vec<ExtentRecord>,
+    /// Reused overlay-resolver buffers of an array fetch.
+    overlay: Overlay,
+    /// The output of the last stitched fetch, recycled by the next stitch
+    /// once its caller has dropped every other handle to it.
+    stitch_buf: Option<Bytes>,
 }
 
 impl VosTarget {
@@ -272,7 +369,8 @@ impl VosTarget {
             objects: HashMap::new(),
             stats: VosStats::default(),
             dp: DataPlaneStats::default(),
-            visible_scratch: Vec::new(),
+            overlay: Overlay::default(),
+            stitch_buf: None,
         }
     }
 
@@ -594,87 +692,75 @@ impl VosTarget {
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError> {
         self.stats.fetches += 1;
-        // Collect visible extents that intersect the range, in epoch order
-        // (ties resolved by insertion order, which Vec preserves), into the
-        // reused scratch buffer — the steady-state fetch path performs no
-        // heap allocation. Record clones are cheap: the checksum tables are
-        // Arc-shared.
-        let mut visible = std::mem::take(&mut self.visible_scratch);
-        visible.clear();
-        if let Some(store) = self
+        // Resolution runs first, on the index alone: the overlay is ordered
+        // by epoch (ties by insertion order), and the fragments it yields
+        // are the only bytes read from media.
+        let mut overlay = std::mem::take(&mut self.overlay);
+        let extents = self
             .objects
             .get(&oid)
             .and_then(|o| o.get(&KeyPair::from_refs(dkey, akey)))
-        {
-            visible.extend(
-                store
-                    .extents
-                    .iter()
-                    .filter(|e| {
-                        e.epoch <= epoch && e.offset < offset + len && e.offset + e.len > offset
-                    })
-                    .cloned(),
-            );
-        }
-        let result = self.fetch_array_visible(now, media, &visible, offset, len);
-        visible.clear();
-        self.visible_scratch = visible;
+            .map_or(&[][..], |store| &store.extents[..]);
+        overlay.resolve(extents, epoch, offset, len);
+        let result = self.fetch_array_visible(now, media, &overlay, offset, len);
+        overlay.records.clear();
+        self.overlay = overlay;
         result
     }
 
-    /// The overlay resolution of [`Self::fetch_array`] over an
-    /// already-collected visible set.
+    /// Reads a resolved overlay's fragments from media, each with its
+    /// chunk-window CRC verify. One fragment covering the request returns
+    /// the store's zero-copy slice; a fragmented view stitches into a
+    /// buffer whose uncovered gaps read as zero.
     fn fetch_array_visible(
         &mut self,
         now: SimTime,
         media: &mut ShardBdev<'_>,
-        visible: &[ExtentRecord],
+        overlay: &Overlay,
         offset: u64,
         len: u64,
     ) -> Result<(Bytes, SimTime), DaosError> {
-        if visible.is_empty() {
-            // Never-written range: a hole (refcounted shared zeros).
-            self.dp.bytes_zero_copy += len;
-            return Ok((zero_bytes(len as usize), now));
-        }
-        // Zero-copy fast path: exactly one record covers the whole range —
-        // hand back the store's slice without materializing a fresh buffer.
-        if visible.len() == 1 {
-            let rec = &visible[0];
-            if rec.offset <= offset && rec.offset + rec.len >= offset + len {
-                return self.load_range(
-                    now,
-                    media,
-                    &rec.location,
-                    rec.stored_len,
-                    &rec.checksums,
-                    offset - rec.offset,
-                    len,
-                );
-            }
-        }
-        // Genuinely fragmented: stitch the overlay into a fresh buffer.
-        let mut out = BytesMut::zeroed(len as usize);
-        let mut latest = now;
-        for rec in visible {
-            // Only the intersecting chunk window is read and verified.
-            let from = rec.offset.max(offset);
-            let to = (rec.offset + rec.len).min(offset + len);
-            let (data, done) = self.load_range(
+        let mut load = |this: &mut Self, f: &Fragment| {
+            let rec = &overlay.records[f.rec];
+            this.load_range(
                 now,
                 media,
                 &rec.location,
                 rec.stored_len,
                 &rec.checksums,
-                from - rec.offset,
-                to - from,
-            )?;
+                f.from - rec.offset,
+                f.to - f.from,
+            )
+        };
+        let frags = match overlay.frags.as_slice() {
+            [] => {
+                // Never-written range: a hole (refcounted shared zeros).
+                self.dp.bytes_zero_copy += len;
+                return Ok((zero_bytes(len as usize), now));
+            }
+            [f] if f.to - f.from == len => return load(self, f),
+            frags => frags,
+        };
+        let mut out = match self.stitch_buf.take().map(Bytes::try_into_mut) {
+            Some(Ok(mut buf)) => {
+                buf.resize(len as usize, 0);
+                buf
+            }
+            _ => BytesMut::zeroed(len as usize),
+        };
+        let mut latest = now;
+        for f in frags {
+            let (data, done) = load(self, f)?;
             latest = latest.max(done);
-            let dst = (from - offset) as usize..(to - offset) as usize;
-            out[dst].copy_from_slice(&data);
+            out[(f.from - offset) as usize..(f.to - offset) as usize].copy_from_slice(&data);
+        }
+        for &(g0, g1) in &overlay.gaps {
+            out[(g0 - offset) as usize..(g1 - offset) as usize].fill(0);
         }
         self.dp.bytes_copied += len;
-        Ok((out.freeze(), latest))
+        let out = out.freeze();
+        self.stitch_buf = Some(out.clone());
+        Ok((out, latest))
     }
 
     /// Lists the dkeys of an object (directory enumeration path).
@@ -1203,6 +1289,102 @@ mod tests {
             .unwrap();
         assert!(old[..100].iter().all(|&b| b == 1));
         assert!(old[100..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn overlay_resolves_by_epoch_not_insertion_order() {
+        // Rebuild imports replay records at their original epochs, so an
+        // older epoch can be inserted after a newer one.
+        let (mut vos, mut bd) = fixture();
+        let d = DKey::from_u64(0);
+        let a = AKey::from_str("data");
+        for (epoch, fill) in [(5u64, 5u8), (3, 3)] {
+            vos.update_array(
+                SimTime::ZERO,
+                &mut bd.shard(0),
+                oid(),
+                d.clone(),
+                a.clone(),
+                Epoch(epoch),
+                0,
+                Bytes::from(vec![fill; 8192]),
+            )
+            .unwrap();
+        }
+        let mut fetch = |epoch: Epoch| {
+            vos.fetch_array(
+                SimTime::ZERO,
+                &mut bd.shard(0),
+                oid(),
+                &d,
+                &a,
+                epoch,
+                0,
+                8192,
+            )
+            .unwrap()
+            .0
+        };
+        assert!(fetch(Epoch::LATEST).iter().all(|&b| b == 5));
+        assert!(fetch(Epoch(4)).iter().all(|&b| b == 3));
+    }
+
+    #[test]
+    fn shadowed_versions_are_never_read_from_media() {
+        let (mut vos, mut bd) = fixture();
+        let d = DKey::from_u64(0);
+        let a = AKey::from_str("data");
+        let update = |vos: &mut VosTarget, bd: &mut BdevLayer, epoch: u64, at: u64, len: usize| {
+            vos.update_array(
+                SimTime::ZERO,
+                &mut bd.shard(0),
+                oid(),
+                d.clone(),
+                a.clone(),
+                Epoch(epoch),
+                at,
+                Bytes::from(vec![epoch as u8; len]),
+            )
+            .unwrap();
+        };
+        // Three stacked full-range NVMe versions.
+        for epoch in 1..=3 {
+            update(&mut vos, &mut bd, epoch, 0, 64 << 10);
+        }
+        let fetch = |vos: &mut VosTarget, bd: &mut BdevLayer, at: u64, len: u64| {
+            let read0 = bd.array().total_stats().bytes_read + vos.scm().bytes_read();
+            let copied0 = vos.data_plane_stats().bytes_copied;
+            let (out, _) = vos
+                .fetch_array(
+                    SimTime::ZERO,
+                    &mut bd.shard(0),
+                    oid(),
+                    &d,
+                    &a,
+                    Epoch::LATEST,
+                    at,
+                    len,
+                )
+                .unwrap();
+            let read = bd.array().total_stats().bytes_read + vos.scm().bytes_read() - read0;
+            (out, read, vos.data_plane_stats().bytes_copied - copied0)
+        };
+        let (out, read, copied) = fetch(&mut vos, &mut bd, 0, 64 << 10);
+        assert!(out.iter().all(|&b| b == 3));
+        assert_eq!(read, 64 << 10, "only the newest version is read");
+        assert_eq!(copied, 0, "one visible record stays zero-copy");
+        // A partial SCM overwrite splits the newest version in two.
+        update(&mut vos, &mut bd, 4, 8192, 4096);
+        let (out, read, copied) = fetch(&mut vos, &mut bd, 0, 64 << 10);
+        assert!(out[..8192].iter().all(|&b| b == 3));
+        assert!(out[8192..12288].iter().all(|&b| b == 4));
+        assert!(out[12288..].iter().all(|&b| b == 3));
+        assert_eq!(read, 64 << 10, "each visible byte is read once");
+        assert_eq!(copied, 64 << 10);
+        // A range the overwrite supplies alone is zero-copy again.
+        let (out, read, copied) = fetch(&mut vos, &mut bd, 8192, 4096);
+        assert!(out.iter().all(|&b| b == 4));
+        assert_eq!((read, copied), (4096, 0));
     }
 
     #[test]

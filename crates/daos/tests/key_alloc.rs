@@ -2,7 +2,8 @@
 //! the hot path builds (u64 chunk dkeys, short string akeys), probing the
 //! object index, and repeating a warm fetch must perform ZERO heap
 //! allocations — measured for real with a counting global allocator, not
-//! inferred from types.
+//! inferred from types. That covers array fetches over stacked versions
+//! too: resolving the visible record, and stitching a fragmented view.
 //!
 //! All measurements run inside one `#[test]` (the counters are
 //! process-global; concurrent tests in the same binary would pollute the
@@ -94,9 +95,56 @@ fn key_path_is_allocation_free() {
     )
     .unwrap();
 
-    // Warm both paths once (CRC caches are seeded at update; the first
+    // A versioned key: two stacked full-range versions, then a partial
+    // overwrite of the middle.
+    let versioned = DKey::from_u64(2);
+    for (at, fill, len) in [
+        (0u64, 0x11u8, 4096usize),
+        (0, 0x22, 4096),
+        (1024, 0x33, 1024),
+    ] {
+        let epoch = e.next_epoch("c").unwrap();
+        e.update(
+            SimTime::ZERO,
+            "c",
+            oid,
+            versioned.clone(),
+            AKey::from_str("data"),
+            ValueKind::Array { offset: at },
+            epoch,
+            Bytes::from(vec![fill; len]),
+        )
+        .unwrap();
+    }
+    // (offset, len): the tail only the second version supplies (resolves
+    // to one record, zero-copy), and the whole range (stitches three
+    // fragments from two records).
+    let versioned_fetch = |e: &mut DaosEngine, at: u64, len: u64| {
+        let (out, _) = e
+            .fetch(
+                SimTime::ZERO,
+                "c",
+                oid,
+                &versioned,
+                &AKey::from_str("data"),
+                ValueKind::Array { offset: at },
+                Epoch::LATEST,
+                len,
+            )
+            .unwrap();
+        out
+    };
+    let whole = versioned_fetch(&mut e, 0, 4096);
+    assert!(whole[..1024].iter().all(|&b| b == 0x22));
+    assert!(whole[1024..2048].iter().all(|&b| b == 0x33));
+    assert!(whole[2048..].iter().all(|&b| b == 0x22));
+    drop(whole);
+
+    // Warm every path once (CRC caches are seeded at update; the first
     // fetch may still grow scratch buffers).
     for _ in 0..3 {
+        std::hint::black_box(versioned_fetch(&mut e, 2048, 2048));
+        std::hint::black_box(versioned_fetch(&mut e, 0, 4096));
         e.fetch(
             SimTime::ZERO,
             "c",
@@ -158,4 +206,20 @@ fn key_path_is_allocation_free() {
         "warm single-value + covered array fetches must be allocation-free \
          ({n} allocs over 2000 ops)"
     );
+
+    // Steady state over stacked versions: the resolver's buffers are
+    // reused, and a stitch recycles the previous stitch's output once its
+    // caller has dropped it.
+    let n = allocs_in(|| {
+        for _ in 0..1_000 {
+            std::hint::black_box(versioned_fetch(&mut e, 2048, 2048));
+        }
+    });
+    assert_eq!(n, 0, "resolved versioned fetches allocated ({n} allocs)");
+    let n = allocs_in(|| {
+        for _ in 0..1_000 {
+            std::hint::black_box(versioned_fetch(&mut e, 0, 4096));
+        }
+    });
+    assert_eq!(n, 0, "stitched versioned fetches allocated ({n} allocs)");
 }

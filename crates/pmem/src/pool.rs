@@ -63,6 +63,8 @@ pub struct PmemPool {
     tx_allocs: Vec<PmemOid>,
     tx_commits: u64,
     tx_aborts: u64,
+    /// Bytes handed out by [`PmemPool::read`].
+    bytes_read: u64,
 }
 
 impl PmemPool {
@@ -75,6 +77,7 @@ impl PmemPool {
             tx_allocs: Vec::new(),
             tx_commits: 0,
             tx_aborts: 0,
+            bytes_read: 0,
         }
     }
 
@@ -106,7 +109,13 @@ impl PmemPool {
         if at + len as u64 > oid.size {
             return Err(PmemError::BadAddress);
         }
+        self.bytes_read += len as u64;
         self.heap.read(oid.offset + at, len)
+    }
+
+    /// Total bytes read from the pool's objects.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read
     }
 
     /// Writes `data` into an object at byte `at`. If a transaction is open
