@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use ros2_buf::{crc32c_chunks, crc32c_combine};
 use ros2_daos::crc32c;
 use ros2_sim::{EventQueue, LatencyHistogram, ServerPool, SimDuration, SimRng, SimTime, Zipf};
 use ros2_verbs::{AccessFlags, Expiry, MemoryDomain, NodeId, QpType, RdmaDevice};
@@ -17,7 +18,26 @@ fn bench_crc32c(c: &mut Criterion) {
             b.iter(|| crc32c(std::hint::black_box(&data)))
         });
     }
+    // VOS's per-chunk table of a 1 MiB update, four 4 KiB chunks in
+    // lockstep.
+    let data = vec![0xABu8; 1 << 20];
+    g.throughput(Throughput::Bytes(data.len() as u64));
+    g.bench_function("chunk_table_1MiB_4KiB", |b| {
+        b.iter(|| {
+            let mut acc = 0u32;
+            crc32c_chunks(std::hint::black_box(&data), 4096, |_, crc| acc ^= crc);
+            acc
+        })
+    });
     g.finish();
+    // One 4 KiB chunk appended by combine, as fetch-verify does per chunk.
+    c.bench_function("crc32c_combine/4096", |b| {
+        let mut crc = 0x1234_5678u32;
+        b.iter(|| {
+            crc = crc32c_combine(std::hint::black_box(crc), 0x9ABC_DEF0, 4096);
+            crc
+        })
+    });
 }
 
 fn bench_event_queue(c: &mut Criterion) {

@@ -20,6 +20,7 @@ pub mod store;
 
 pub use alloc_count::{allocated_bytes, allocation_count, CountingAlloc};
 pub use crc::{
-    crc32c, crc32c_append, crc32c_append_sw, crc32c_combine, crc32c_zeros, hw_acceleration,
+    crc32c, crc32c_append, crc32c_append_sw, crc32c_chunks, crc32c_combine, crc32c_zeros,
+    hw_acceleration,
 };
 pub use store::{is_shared_zeros, zero_bytes, DataPlaneStats, ExtentStore, CRC_CHUNK};

@@ -32,7 +32,7 @@ use ros2_hw::LBA_SIZE;
 use ros2_sim::SimTime;
 use ros2_spdk::ShardBdev;
 
-use crate::checksum::{crc32c_combine, crc32c_zeros, Checksum};
+use crate::checksum::{crc32c_chunks, crc32c_combine, crc32c_zeros, Checksum};
 use crate::types::{AKey, DKey, DaosError, Epoch, ObjectId};
 
 /// The object index key: one packed `(dkey, akey)` pair. Built from
@@ -103,25 +103,27 @@ struct ExtentRecord {
 /// the shared zero pool (hole materialization, zero-fill staging, the
 /// throughput sweeps' synthetic writes) are known all-zero without reading
 /// them: their chunk CRCs are closed-form zero-run CRCs, so nothing is
-/// scanned and `crc_bytes_scanned` counts only real hashing work.
+/// scanned and `crc_bytes_scanned` counts only real hashing work. Either
+/// way the table is built straight into the record's `Arc`: the exact-size
+/// iterators below allocate it once, with no scratch `Vec`.
 fn chunk_checksums(stored: &Bytes, dp: &mut DataPlaneStats) -> Arc<[Checksum]> {
+    let len = stored.len() as u64;
+    let n = len.div_ceil(CSUM_CHUNK) as usize;
     if ros2_buf::is_shared_zeros(stored) {
-        let len = stored.len() as u64;
-        let full = Checksum(crc32c_zeros(CSUM_CHUNK));
-        let tail = len % CSUM_CHUNK;
-        let n_full = (len / CSUM_CHUNK) as usize;
-        let mut table = Vec::with_capacity(n_full + usize::from(tail > 0));
-        table.resize(n_full, full);
-        if tail > 0 {
-            table.push(Checksum(crc32c_zeros(tail)));
-        }
-        return table.into();
+        // Every chunk is full but the last, which may be short.
+        let last_len = len - (n as u64).saturating_sub(1) * CSUM_CHUNK;
+        let (full, last) = (crc32c_zeros(CSUM_CHUNK), crc32c_zeros(last_len));
+        return (0..n)
+            .map(|i| Checksum(if i + 1 < n { full } else { last }))
+            .collect();
     }
-    dp.crc_bytes_scanned += stored.len() as u64;
-    stored
-        .chunks(CSUM_CHUNK as usize)
-        .map(Checksum::of)
-        .collect()
+    dp.crc_bytes_scanned += len;
+    let mut table: Arc<[Checksum]> = std::iter::repeat_n(Checksum(0), n).collect();
+    let slots = Arc::get_mut(&mut table).expect("a fresh table is unshared");
+    crc32c_chunks(stored, CSUM_CHUNK as usize, |i, crc| {
+        slots[i] = Checksum(crc)
+    });
+    table
 }
 
 /// CRC32C of stored chunks `[c0, c1)` by combining recorded per-chunk

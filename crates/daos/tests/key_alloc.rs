@@ -4,6 +4,8 @@
 //! allocations — measured for real with a counting global allocator, not
 //! inferred from types. That covers array fetches over stacked versions
 //! too: resolving the visible record, and stitching a fragmented view.
+//! Warm 1 MiB NVMe array updates must stay within a fixed allocation
+//! budget.
 //!
 //! All measurements run inside one `#[test]` (the counters are
 //! process-global; concurrent tests in the same binary would pollute the
@@ -222,4 +224,39 @@ fn key_path_is_allocation_free() {
         }
     });
     assert_eq!(n, 0, "stitched versioned fetches allocated ({n} allocs)");
+
+    // --- warm 1 MiB NVMe array updates: a bounded allocation budget ------
+    // An update records a new extent and its chunk-CRC table, so it cannot
+    // be allocation-free; the budget keeps the chunk table from growing
+    // scratch buffers (it is built straight into the record's `Arc`).
+    let big = Bytes::from(vec![0x7C; 1 << 20]);
+    let update_big = |e: &mut DaosEngine| {
+        let epoch = e.next_epoch("c").unwrap();
+        e.update(
+            SimTime::ZERO,
+            "c",
+            oid,
+            DKey::from_u64(3),
+            AKey::from_str("data"),
+            ValueKind::Array { offset: 0 },
+            epoch,
+            big.clone(),
+        )
+        .unwrap();
+    };
+    for _ in 0..4 {
+        update_big(&mut e);
+    }
+    let n = allocs_in(|| {
+        for _ in 0..16 {
+            update_big(&mut e);
+        }
+    });
+    // 45 is the count measured when the table was still collected from a
+    // per-chunk map; it must not grow.
+    const UPDATE_BUDGET: u64 = 45;
+    assert!(
+        n <= UPDATE_BUDGET,
+        "16 warm 1 MiB NVMe array updates allocated {n} times (budget {UPDATE_BUDGET})"
+    );
 }
