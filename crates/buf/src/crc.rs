@@ -2,22 +2,22 @@
 //!
 //! Evaluation paths, all bit-identical:
 //!
-//! * **SSE4.2, interleaved** — `_mm_crc32_u64` via `std::arch`, selected by
-//!   runtime feature detection on x86-64. The instruction has a 3-cycle
-//!   latency but issues once per cycle, so one dependent chain runs at a
-//!   third of its throughput (6.7 GB/s on 4 KiB pieces on a 2-vCPU Xeon
-//!   VM). [`crc32c_append`] runs three independent chains over
-//!   3 x 8 KiB blocks, then 3 x 256 B blocks, and folds them into one with
-//!   byte-sliced shift tables (four lookups per fold): 14 GB/s on 4 KiB
-//!   pieces and 16.5 GB/s on 1 MiB on the same host.
+//! * **SSE4.2, one chain** — [`crc32c_append`] runs `_mm_crc32_u64` via
+//!   `std::arch`, selected by runtime feature detection on x86-64. The
+//!   instruction has a 3-cycle latency but issues once per cycle, so one
+//!   dependent chain runs at a third of its throughput (7.5 GB/s on 4 KiB
+//!   pieces on a 2-vCPU Xeon VM). Splitting a buffer into three chains and
+//!   folding them would about double that, but the benchmark workloads
+//!   hash at most 4 KiB in one piece (unaligned fragments, single-chunk
+//!   records), and there the fold moved no end-to-end metric.
 //! * **SSE4.2, chunk lanes** — [`crc32c_chunks`] computes a per-chunk CRC
 //!   table (VOS records one CRC per 4 KiB chunk) with four chunks in
-//!   lockstep, one chain each, so no fold is needed: 17 GB/s for a 1 MiB
-//!   table.
-//! * **slicing-by-16** — the portable software path, 8-16 GB/s class.
+//!   lockstep, one chain each, so the instruction issues every cycle and
+//!   no fold is needed: 21.5 GB/s for a 1 MiB table.
+//! * **slicing-by-16** — the portable software path, 1.5 GB/s.
 //! * **combine** — [`crc32c_combine`] concatenates two finalized CRCs
 //!   without touching a single payload byte: one four-lookup shift per set
-//!   bit of the length (6 ns for a 4 KiB chunk). This is what lets stores
+//!   bit of the length (5 ns for a 4 KiB chunk). This is what lets stores
 //!   answer "what is the CRC of this range" from cached per-chunk CRCs.
 //!
 //! Every table is built at compile time and lives in static storage, so no
@@ -29,6 +29,7 @@
 //! original table-driven implementation in `ros2_daos::checksum` (RFC 3720
 //! vectors), which now delegates here. The timing model charges its own
 //! rate (`ros2_hw::checksum_cost`), independent of this host's speed.
+
 /// The CRC32C polynomial (reflected).
 pub const POLY: u32 = 0x82F6_3B78;
 
@@ -198,16 +199,12 @@ pub fn hw_acceleration() -> bool {
     }
 }
 
-/// Block size of each of the three interleaved chains, long blocks.
-const LONG: usize = 8 << 10;
-/// Block size of each of the three interleaved chains, short blocks.
-const SHORT: usize = 256;
 /// Chunks computed in lockstep by [`crc32c_chunks`].
 const CHUNK_LANES: usize = 4;
 
 #[cfg(target_arch = "x86_64")]
 mod hw {
-    use super::{shift, ShiftTable, CHUNK_LANES, LONG, SHIFT, SHORT};
+    use super::CHUNK_LANES;
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
 
     /// Runs `N` independent `crc32` chains in lockstep: chain `l` starts
@@ -240,43 +237,13 @@ mod hw {
         crc
     }
 
-    /// Consumes `data` in blocks of three `lane`-byte chains and folds each
-    /// block's chains into the running register with `fold`, the operator
-    /// for `lane` zero bytes. Returns the register and the unconsumed tail.
-    ///
-    /// # Safety
-    /// SSE4.2 must be present.
-    #[inline]
-    #[target_feature(enable = "sse4.2")]
-    unsafe fn blocks3<'a>(
-        mut crc: u32,
-        data: &'a [u8],
-        lane: usize,
-        fold: &ShiftTable,
-    ) -> (u32, &'a [u8]) {
-        let mut blocks = data.chunks_exact(3 * lane);
-        for block in &mut blocks {
-            let p = block.as_ptr();
-            let [c0, c1, c2] = lanes(
-                [u64::from(crc), 0, 0],
-                [p, p.add(lane), p.add(2 * lane)],
-                lane,
-            );
-            crc = shift(fold, shift(fold, c0 as u32) ^ c1 as u32) ^ c2 as u32;
-        }
-        (crc, blocks.remainder())
-    }
-
-    /// Raw update: three interleaved chains over long, then short blocks,
-    /// then one chain over what is left.
+    /// Raw update: one chain.
     ///
     /// # Safety
     /// SSE4.2 must be present (see [`super::hw_acceleration`]).
     #[target_feature(enable = "sse4.2")]
     pub(super) unsafe fn update(crc: u32, data: &[u8]) -> u32 {
-        let (crc, rest) = blocks3(crc, data, LONG, &SHIFT[LONG.trailing_zeros() as usize]);
-        let (crc, rest) = blocks3(crc, rest, SHORT, &SHIFT[SHORT.trailing_zeros() as usize]);
-        let [crc] = lanes([u64::from(crc)], [rest.as_ptr()], rest.len());
+        let [crc] = lanes([u64::from(crc)], [data.as_ptr()], data.len());
         crc as u32
     }
 

@@ -3,22 +3,23 @@
 //! the seed's table-driven slicing-by-8 implementation — kept verbatim
 //! below as the oracle — on random data and random chunkings.
 //!
-//! The hardware path switches strategy at 3 x 256 B and 3 x 8 KiB blocks,
-//! the chunk table computes four chunks in lockstep, and combine shifts
-//! through compile-time tables, so the properties below reach lengths past
-//! several long blocks, every block boundary +-1, unaligned starts, chunk
-//! counts that are not a multiple of the lane count, and combine lengths
-//! up to 2^40 (checked against zlib's GF(2) matrix algorithm).
+//! The hardware path runs one `crc32` chain per buffer, or four chunks in
+//! lockstep for a chunk table, and combine shifts through compile-time
+//! tables, so the properties below reach lengths up to 80 KiB at unaligned
+//! starts, chunk tables with short tails and chunk counts that are not a
+//! multiple of the lane count, and combine lengths up to 2^40 (checked
+//! against zlib's GF(2) matrix algorithm).
 
 use proptest::prelude::*;
 use ros2_buf::{
     crc32c, crc32c_append, crc32c_append_sw, crc32c_chunks, crc32c_combine, crc32c_zeros,
 };
 
-/// Longest buffer the long-input properties draw: several 3 x 8 KiB blocks.
+/// Longest buffer the long-input properties draw.
 const MAX_LEN: usize = 80 << 10;
-/// Bytes of one interleaved short block (3 x 256 B) and long block
-/// (3 x 8 KiB).
+/// Block sizes whose multiples +-1 the long-input properties favour: the
+/// 3 x 256 B and 3 x 8 KiB blocks a three-chain interleaved kernel folds
+/// at, so such a kernel is covered at its boundaries too.
 const SHORT_BLOCK: usize = 3 * 256;
 const LONG_BLOCK: usize = 3 * 8192;
 
@@ -117,10 +118,9 @@ mod gf2_reference {
         dst
     }
 
+    /// Unlike zlib, no early return for `len_b == 0`: the result is then
+    /// `crc_a ^ crc_b`, the API's contract for any `crc_b`.
     pub fn crc32c_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
-        if len_b == 0 {
-            return crc_a;
-        }
         let mut odd = [0u32; 32];
         odd[0] = POLY;
         for (n, entry) in odd.iter_mut().enumerate().skip(1) {
@@ -212,7 +212,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// One-shot over long inputs at unaligned starts inside a larger
-    /// buffer: every interleaved block path and its boundaries.
+    /// buffer.
     #[test]
     fn long_unaligned_matches_oracle(
         buf in prop::collection::vec(any::<u8>(), MAX_LEN + 64..MAX_LEN + 65),
@@ -225,8 +225,8 @@ proptest! {
         prop_assert_eq!(crc32c_append_sw(0, data), want, "start {} len {}", start, len);
     }
 
-    /// Chunked appends whose pieces straddle short- and long-block
-    /// boundaries equal the oracle over the whole buffer.
+    /// Chunked appends whose pieces straddle word and block boundaries
+    /// equal the oracle over the whole buffer.
     #[test]
     fn long_chunked_matches_oracle(
         buf in prop::collection::vec(any::<u8>(), MAX_LEN + 1..MAX_LEN + 2),

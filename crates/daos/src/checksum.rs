@@ -1,16 +1,15 @@
 //! CRC32C (Castagnoli) — DAOS's default end-to-end checksum.
 //!
 //! The arithmetic lives in [`ros2_buf::crc`]: an SSE4.2 hardware path with
-//! runtime detection (interleaved chains, and a lane-parallel per-chunk
-//! table that VOS records at update), a slicing-by-16 software fallback,
-//! and a table-driven combinator — all bit-identical to the original
-//! table-driven implementation (proven in
-//! `crates/buf/tests/crc_equivalence.rs`). The timing model still charges
-//! the hardware-assisted rate ([`ros2_hw::checksum_cost`]). Checksums are
-//! computed on update, stored with the record, and *derived* on fetch by
-//! combining the store's cached per-chunk CRCs — corrupted media is
-//! detected without rescanning clean payloads, which the failure-injection
-//! tests exercise.
+//! runtime detection (and a lane-parallel per-chunk table that VOS records
+//! at update), a slicing-by-16 software fallback, and a table-driven
+//! combinator — all bit-identical to the original table-driven
+//! implementation (proven in `crates/buf/tests/crc_equivalence.rs`). The
+//! timing model still charges the hardware-assisted rate
+//! ([`ros2_hw::checksum_cost`]). Checksums are computed on update, stored
+//! with the record, and *derived* on fetch by combining the store's cached
+//! per-chunk CRCs — corrupted media is detected without rescanning clean
+//! payloads, which the failure-injection tests exercise.
 
 pub use ros2_buf::{crc32c, crc32c_append, crc32c_chunks, crc32c_combine, crc32c_zeros};
 
