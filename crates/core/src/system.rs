@@ -338,22 +338,6 @@ impl ObjectClient for ClientStack {
         }
     }
 
-    fn execute_batch(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        ops: Vec<ClientOp>,
-    ) -> Vec<ClientOpResult> {
-        match self {
-            ClientStack::Host { client, .. } => {
-                client.execute_batch(fabric, cluster, now, job, ops)
-            }
-            ClientStack::Dpu(c) => ObjectClient::execute_batch(c, fabric, cluster, now, job, ops),
-        }
-    }
-
     fn execute_pipelined(
         &mut self,
         fabric: &mut Fabric,

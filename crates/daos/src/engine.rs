@@ -3,22 +3,20 @@
 //! DPU.
 //!
 //! One engine serves a pool of targets (one per NVMe SSD, as DAOS binds
-//! targets to devices). Each target forms a self-contained **shard**: its
-//! VOS index, its xstream pool and its slice of the bdev layer — no mutable
-//! state is shared between shards, which is what lets
-//! [`DaosEngine::execute_batch`] fan independent operations out across
-//! shards in parallel while staying bit-identical to serial execution
-//! (proven by `tests/shard_equivalence.rs`). RPC handling, VOS indexing and
-//! checksum computation all charge CPU on the owning target's xstreams;
-//! media time comes from the bdev/pmem models.
+//! targets to devices). Each target forms a **shard**: its VOS index, its
+//! xstream pool and its slice of the bdev layer, addressed by
+//! `placement_hash % n`. Every request runs serially on the one shard that
+//! owns its `(oid, dkey)`; client-side concurrency comes from the op ring
+//! keeping many requests in flight, not from the engine. RPC handling, VOS
+//! indexing and checksum computation all charge CPU on the owning target's
+//! xstreams; media time comes from the bdev/pmem models.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use rayon::prelude::*;
 use ros2_hw::{checksum_cost, CoreClass, LBA_SIZE};
 use ros2_sim::{ResourceStats, ServerPool, SimTime};
-use ros2_spdk::{BdevLayer, ShardBdev};
+use ros2_spdk::BdevLayer;
 
 use crate::cluster::PoolMap;
 use crate::types::{
@@ -47,142 +45,6 @@ pub struct ContainerMeta {
     pub snapshots: Vec<u64>,
 }
 
-/// One I/O destined for whichever shard owns its `(oid, dkey)` — the unit
-/// of [`DaosEngine::execute_batch`]. Each op carries its own arrival
-/// instant so a batch can represent a fan-out of concurrently submitted
-/// RPCs.
-#[derive(Clone, Debug)]
-pub enum TargetOp {
-    /// An OBJ_UPDATE (data already present server-side). The epoch is
-    /// caller-allocated (see [`DaosEngine::next_epoch`]) so batch
-    /// submission order — not shard execution order — fixes epoch values.
-    Update {
-        /// RPC arrival instant.
-        now: SimTime,
-        /// Object.
-        oid: ObjectId,
-        /// Distribution key (drives shard placement).
-        dkey: DKey,
-        /// Attribute key.
-        akey: AKey,
-        /// Single value or array extent.
-        kind: ValueKind,
-        /// Commit epoch.
-        epoch: Epoch,
-        /// Payload.
-        data: Bytes,
-    },
-    /// An OBJ_FETCH of `len` bytes at `epoch`.
-    Fetch {
-        /// RPC arrival instant.
-        now: SimTime,
-        /// Object.
-        oid: ObjectId,
-        /// Distribution key (drives shard placement).
-        dkey: DKey,
-        /// Attribute key.
-        akey: AKey,
-        /// Single value or array extent.
-        kind: ValueKind,
-        /// Read epoch.
-        epoch: Epoch,
-        /// Bytes to read.
-        len: u64,
-    },
-}
-
-impl TargetOp {
-    fn oid(&self) -> ObjectId {
-        match self {
-            TargetOp::Update { oid, .. } | TargetOp::Fetch { oid, .. } => *oid,
-        }
-    }
-    fn dkey(&self) -> &DKey {
-        match self {
-            TargetOp::Update { dkey, .. } | TargetOp::Fetch { dkey, .. } => dkey,
-        }
-    }
-}
-
-/// The per-op outcome of a batch, in submission order.
-#[derive(Clone, Debug)]
-pub enum TargetOpResult {
-    /// Outcome of a [`TargetOp::Update`]: the persisted-at instant.
-    Update(Result<SimTime, DaosError>),
-    /// Outcome of a [`TargetOp::Fetch`]: the data and its ready instant.
-    Fetch(Result<(Bytes, SimTime), DaosError>),
-}
-
-impl TargetOpResult {
-    /// Unwraps an update result (panics on a fetch result).
-    pub fn into_update(self) -> Result<SimTime, DaosError> {
-        match self {
-            TargetOpResult::Update(r) => r,
-            TargetOpResult::Fetch(_) => panic!("expected update result"),
-        }
-    }
-    /// Unwraps a fetch result (panics on an update result).
-    pub fn into_fetch(self) -> Result<(Bytes, SimTime), DaosError> {
-        match self {
-            TargetOpResult::Fetch(r) => r,
-            TargetOpResult::Update(_) => panic!("expected fetch result"),
-        }
-    }
-}
-
-/// Executes one op against its shard's VOS/xstreams/bdev slice. This is
-/// the single code path both the serial entry points and the batch fan-out
-/// run, so batch-of-one is the serial op by construction.
-fn exec_on_shard(
-    model: &DaosCostModel,
-    class: CoreClass,
-    vos: &mut VosTarget,
-    xstreams: &mut ServerPool,
-    media: &mut ShardBdev<'_>,
-    op: TargetOp,
-) -> TargetOpResult {
-    let grant = |xs: &mut ServerPool, now: SimTime, bytes: u64| {
-        let cpu = model.server_per_rpc + model.vos_per_op + checksum_cost(bytes);
-        xs.submit(now, class.scale(cpu)).finish
-    };
-    match op {
-        TargetOp::Update {
-            now,
-            oid,
-            dkey,
-            akey,
-            kind,
-            epoch,
-            data,
-        } => {
-            let picked = grant(xstreams, now, data.len() as u64);
-            TargetOpResult::Update(match kind {
-                ValueKind::Single => vos.update_single(picked, media, oid, dkey, akey, epoch, data),
-                ValueKind::Array { offset } => {
-                    vos.update_array(picked, media, oid, dkey, akey, epoch, offset, data)
-                }
-            })
-        }
-        TargetOp::Fetch {
-            now,
-            oid,
-            dkey,
-            akey,
-            kind,
-            epoch,
-            len,
-        } => {
-            let picked = grant(xstreams, now, len);
-            TargetOpResult::Fetch(match kind {
-                ValueKind::Single => vos.fetch_single(picked, media, oid, &dkey, &akey, epoch),
-                ValueKind::Array { offset } => {
-                    vos.fetch_array(picked, media, oid, &dkey, &akey, epoch, offset, len)
-                }
-            })
-        }
-    }
-}
-
 /// The storage-server engine.
 pub struct DaosEngine {
     model: DaosCostModel,
@@ -194,10 +56,6 @@ pub struct DaosEngine {
     xstreams: Vec<ServerPool>,
     containers: HashMap<String, ContainerMeta>,
     rpcs: u64,
-    /// Validation hook: forces [`Self::execute_batch`] onto the serial
-    /// shard walk so equivalence tests and A/B perf measurement can compare
-    /// against the parallel fan-out.
-    force_serial_batch: bool,
     /// The newest map revision the control plane has pushed to this
     /// engine (0 = never observed — fencing disabled, the pre-cluster
     /// direct-drive shape).
@@ -210,15 +68,6 @@ pub struct DaosEngine {
     /// [`Self::rpcs`] — they never reach a target.
     fences: u64,
 }
-
-/// One shard's slice of a batch fan-out: its VOS target, xstream pool,
-/// disjoint bdev view, and the (original index, op) list routed to it.
-type ShardWork<'a> = (
-    &'a mut VosTarget,
-    &'a mut ServerPool,
-    ShardBdev<'a>,
-    Vec<(usize, TargetOp)>,
-);
 
 impl DaosEngine {
     /// Creates an engine over `bdevs`, one target per device, with
@@ -247,7 +96,6 @@ impl DaosEngine {
             xstreams,
             containers: HashMap::new(),
             rpcs: 0,
-            force_serial_batch: false,
             map_version: 0,
             map_view: None,
             fences: 0,
@@ -257,14 +105,6 @@ impl DaosEngine {
     /// Number of targets (== SSDs == shards).
     pub fn target_count(&self) -> usize {
         self.targets.len()
-    }
-
-    /// Forces batch execution onto the serial per-shard walk. The parallel
-    /// fan-out must be observationally identical (shards share no mutable
-    /// state), so this exists only for equivalence tests and A/B perf
-    /// measurement.
-    pub fn set_force_serial_batch(&mut self, on: bool) {
-        self.force_serial_batch = on;
     }
 
     /// Creates a container.
@@ -395,27 +235,7 @@ impl DaosEngine {
         if !self.containers.contains_key(cont) {
             return Err(DaosError::NoSuchEntity);
         }
-        self.rpcs += 1;
-        let target = self.target_of(oid, Some(&dkey));
-        let op = TargetOp::Update {
-            now,
-            oid,
-            dkey,
-            akey,
-            kind,
-            epoch,
-            data,
-        };
-        let mut media = self.bdevs.shard(target);
-        exec_on_shard(
-            &self.model,
-            self.class,
-            &mut self.targets[target],
-            &mut self.xstreams[target],
-            &mut media,
-            op,
-        )
-        .into_update()
+        self.update_shard(now, oid, dkey, akey, kind, epoch, data)
     }
 
     /// Services an OBJ_FETCH RPC arriving at `now`. Returns the data and
@@ -437,25 +257,53 @@ impl DaosEngine {
         }
         self.rpcs += 1;
         let target = self.target_of(oid, Some(dkey));
-        let op = TargetOp::Fetch {
-            now,
-            oid,
-            dkey: dkey.clone(),
-            akey: akey.clone(),
-            kind,
-            epoch,
-            len,
-        };
+        let picked = self.grant(target, now, len);
         let mut media = self.bdevs.shard(target);
-        exec_on_shard(
-            &self.model,
-            self.class,
-            &mut self.targets[target],
-            &mut self.xstreams[target],
-            &mut media,
-            op,
-        )
-        .into_fetch()
+        let vos = &mut self.targets[target];
+        match kind {
+            ValueKind::Single => vos.fetch_single(picked, &mut media, oid, dkey, akey, epoch),
+            ValueKind::Array { offset } => {
+                vos.fetch_array(picked, &mut media, oid, dkey, akey, epoch, offset, len)
+            }
+        }
+    }
+
+    /// Charges one RPC's server CPU (handling, VOS indexing, checksum over
+    /// `bytes`) on `target`'s xstreams; returns the instant an xstream
+    /// picks the request up.
+    fn grant(&mut self, target: usize, now: SimTime, bytes: u64) -> SimTime {
+        let cpu = self.model.server_per_rpc + self.model.vos_per_op + checksum_cost(bytes);
+        self.xstreams[target]
+            .submit(now, self.class.scale(cpu))
+            .finish
+    }
+
+    /// Runs one update RPC on the shard owning `(oid, dkey)` — the single
+    /// update path shared by client RPCs and rebuild imports.
+    #[allow(clippy::too_many_arguments)]
+    fn update_shard(
+        &mut self,
+        now: SimTime,
+        oid: ObjectId,
+        dkey: DKey,
+        akey: AKey,
+        kind: ValueKind,
+        epoch: Epoch,
+        data: Bytes,
+    ) -> Result<SimTime, DaosError> {
+        self.rpcs += 1;
+        let target = self.target_of(oid, Some(&dkey));
+        let picked = self.grant(target, now, data.len() as u64);
+        let mut media = self.bdevs.shard(target);
+        let vos = &mut self.targets[target];
+        match kind {
+            ValueKind::Single => {
+                vos.update_single(picked, &mut media, oid, dkey, akey, epoch, data)
+            }
+            ValueKind::Array { offset } => {
+                vos.update_array(picked, &mut media, oid, dkey, akey, epoch, offset, data)
+            }
+        }
     }
 
     /// [`Self::update`] behind the map fence: the RPC descriptor carries
@@ -508,80 +356,6 @@ impl DaosEngine {
     ) -> Result<(Bytes, SimTime), DaosError> {
         self.fence_version(stamp)?;
         self.fetch(now, cont, oid, dkey, akey, kind, epoch, len)
-    }
-
-    /// Executes a batch of independent ops in one fan-out: ops are
-    /// partitioned by owning shard (`placement_hash % n`), each shard runs
-    /// its ops in submission order against its own VOS/xstreams/bdev slice
-    /// (in parallel across shards via rayon), and results come back merged
-    /// in submission order.
-    ///
-    /// Bit-identical to issuing the same ops serially through
-    /// [`Self::update`]/[`Self::fetch`]: shards share no mutable state, so
-    /// the only cross-op coupling — epoch allocation — is fixed by the
-    /// caller before submission (`next_epoch` per update, in order).
-    pub fn execute_batch(
-        &mut self,
-        cont: &str,
-        ops: Vec<TargetOp>,
-    ) -> Result<Vec<TargetOpResult>, DaosError> {
-        if !self.containers.contains_key(cont) {
-            return Err(DaosError::NoSuchEntity);
-        }
-        let total = ops.len();
-        self.rpcs += total as u64;
-        let shard_count = self.targets.len();
-        // Partition by shard, preserving submission order within each.
-        let mut per_shard: Vec<Vec<(usize, TargetOp)>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        for (i, op) in ops.into_iter().enumerate() {
-            let t = self.target_of(op.oid(), Some(op.dkey()));
-            per_shard[t].push((i, op));
-        }
-        let model = self.model;
-        let class = self.class;
-        let serial = self.force_serial_batch;
-
-        // Disjoint mutable borrows: one (VOS, xstreams, bdev slice) triple
-        // per shard.
-        let DaosEngine {
-            targets,
-            xstreams,
-            bdevs,
-            ..
-        } = self;
-        let work: Vec<ShardWork<'_>> = targets
-            .iter_mut()
-            .zip(xstreams.iter_mut())
-            .zip(bdevs.shards())
-            .zip(per_shard)
-            .map(|(((vos, xs), media), ops)| (vos, xs, media, ops))
-            .collect();
-        let run = |(vos, xs, mut media, ops): (
-            &mut VosTarget,
-            &mut ServerPool,
-            ShardBdev<'_>,
-            Vec<(usize, TargetOp)>,
-        )|
-         -> Vec<(usize, TargetOpResult)> {
-            ops.into_iter()
-                .map(|(i, op)| (i, exec_on_shard(&model, class, vos, xs, &mut media, op)))
-                .collect()
-        };
-        let outs: Vec<Vec<(usize, TargetOpResult)>> = if serial || shard_count <= 1 {
-            work.into_iter().map(run).collect()
-        } else {
-            work.into_par_iter().map(run).collect()
-        };
-
-        let mut results: Vec<Option<TargetOpResult>> = (0..total).map(|_| None).collect();
-        for (i, r) in outs.into_iter().flatten() {
-            results[i] = Some(r);
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every submitted op produced a result"))
-            .collect())
     }
 
     /// Lists dkeys of an object (enumerations go to the object's S1 target
@@ -661,31 +435,19 @@ impl DaosEngine {
     ) -> Result<SimTime, DaosError> {
         let mut t_done = now;
         for rec in records {
-            self.rpcs += 1;
-            let target = self.target_of(oid, Some(&rec.dkey));
             let kind = match rec.array_offset {
                 None => ValueKind::Single,
                 Some(offset) => ValueKind::Array { offset },
             };
-            let op = TargetOp::Update {
+            let t = self.update_shard(
                 now,
                 oid,
-                dkey: rec.dkey.clone(),
-                akey: rec.akey.clone(),
+                rec.dkey.clone(),
+                rec.akey.clone(),
                 kind,
-                epoch: rec.epoch,
-                data: rec.data.clone(),
-            };
-            let mut media = self.bdevs.shard(target);
-            let t = exec_on_shard(
-                &self.model,
-                self.class,
-                &mut self.targets[target],
-                &mut self.xstreams[target],
-                &mut media,
-                op,
-            )
-            .into_update()?;
+                rec.epoch,
+                rec.data.clone(),
+            )?;
             t_done = t_done.max(t);
         }
         Ok(t_done)
@@ -883,10 +645,20 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, DaosError::NoSuchEntity);
-        assert_eq!(
-            e.execute_batch("nope", Vec::new()).unwrap_err(),
-            DaosError::NoSuchEntity
-        );
+        let err = e
+            .fetch(
+                SimTime::ZERO,
+                "nope",
+                oid,
+                &DKey::from_u64(0),
+                &AKey::from_str("a"),
+                ValueKind::Single,
+                Epoch::LATEST,
+                0,
+            )
+            .unwrap_err();
+        assert_eq!(err, DaosError::NoSuchEntity);
+        assert_eq!(e.rpcs(), 0, "rejected requests never reach a target");
     }
 
     #[test]
@@ -932,52 +704,6 @@ mod tests {
             .collect();
         times.sort();
         assert!(times.last().unwrap() > times.first().unwrap());
-    }
-
-    #[test]
-    fn batch_results_come_back_in_submission_order() {
-        let mut e = engine(4);
-        let oid = ObjectId::new(ObjClass::Sx, 11);
-        let mut ops = Vec::new();
-        for i in 0..32u64 {
-            let epoch = e.next_epoch("cont0").unwrap();
-            ops.push(TargetOp::Update {
-                now: SimTime::ZERO,
-                oid,
-                dkey: DKey::from_u64(i),
-                akey: AKey::from_str("data"),
-                kind: ValueKind::Array { offset: 0 },
-                epoch,
-                data: Bytes::from(vec![i as u8; 8 << 10]),
-            });
-        }
-        for i in 0..32u64 {
-            ops.push(TargetOp::Fetch {
-                now: SimTime::from_millis(1),
-                oid,
-                dkey: DKey::from_u64(i),
-                akey: AKey::from_str("data"),
-                kind: ValueKind::Array { offset: 0 },
-                epoch: Epoch::LATEST,
-                len: 8 << 10,
-            });
-        }
-        let results = e.execute_batch("cont0", ops).unwrap();
-        assert_eq!(results.len(), 64);
-        assert_eq!(e.rpcs(), 64);
-        for (i, r) in results.into_iter().enumerate() {
-            match r {
-                TargetOpResult::Update(done) => {
-                    assert!(i < 32);
-                    assert!(done.unwrap() > SimTime::ZERO);
-                }
-                TargetOpResult::Fetch(got) => {
-                    let want = (i - 32) as u8;
-                    let (data, _) = got.unwrap();
-                    assert!(data.iter().all(|&b| b == want), "op {i} read wrong bytes");
-                }
-            }
-        }
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!   retire in completion order; results are still reported in submission
 //!   order so strided callers can stitch.
 //!
+//! The ring is the client's only multi-op path: DFS striped reads and
+//! writes always run on it at depth = stripe count, and single-chunk ops
+//! join them when `Dfs::set_data_pipeline` is on.
+//!
 //! **Resource gating.** The ring never holds more than `depth` ops: a
 //! submit into a full ring first retires the earliest-completing in-flight
 //! op (its staging slot frees at retire). Within those bounds, contention

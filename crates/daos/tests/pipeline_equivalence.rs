@@ -455,3 +455,85 @@ fn qp_state_is_o_engines_not_o_jobs() {
         assert_eq!(f.node(NodeId(s)).rdma.qp_count(), 1);
     }
 }
+
+#[test]
+fn ring_multi_op_round_trips_rf2() {
+    // One queue of 8 updates then 8 fetches of the same keys, submitted
+    // at one instant across an RF=2, 3-engine cluster: every fetch reads
+    // back its own key's bytes on both arms, and an oversized op fails in
+    // its own slot without sinking the rest of the queue.
+    let oid = ObjectId::new(ObjClass::Sx, 9);
+    let mut ops = Vec::new();
+    for i in 0..8u64 {
+        ops.push(ClientOp::Update {
+            oid,
+            dkey: DKey::from_u64(i),
+            akey: AKey::from_str("data"),
+            kind: ValueKind::Array { offset: 0 },
+            data: Bytes::from(vec![i as u8 + 1; 32 << 10]),
+        });
+    }
+    for i in 0..8u64 {
+        ops.push(ClientOp::Fetch {
+            oid,
+            dkey: DKey::from_u64(i),
+            akey: AKey::from_str("data"),
+            kind: ValueKind::Array { offset: 0 },
+            epoch: Epoch::LATEST,
+            len: 32 << 10,
+        });
+    }
+    let oversized = vec![
+        ClientOp::Update {
+            oid,
+            dkey: DKey::from_u64(0),
+            akey: AKey::from_str("data"),
+            kind: ValueKind::Array { offset: 0 },
+            data: Bytes::from(vec![0u8; 8 << 20]), // > 4 MiB staging
+        },
+        ClientOp::Fetch {
+            oid,
+            dkey: DKey::from_u64(1),
+            akey: AKey::from_str("data"),
+            kind: ValueKind::Array { offset: 0 },
+            epoch: Epoch::LATEST,
+            len: 32 << 10,
+        },
+    ];
+    let run = |forced_serial: bool| {
+        let (mut f, mut cl, mut c) = world(3, 2, 1);
+        c.set_force_serial_pipeline(forced_serial);
+        let results = c.execute_pipelined(&mut f, &mut cl, SimTime::ZERO, 0, ops.clone());
+        assert_eq!(results.len(), 16);
+        for (i, r) in results.iter().enumerate() {
+            match i {
+                0..=7 => {
+                    r.clone().into_update().unwrap();
+                }
+                _ => {
+                    let want = (i - 8) as u8 + 1;
+                    let (data, _) = r.clone().into_fetch().unwrap();
+                    assert_eq!(data.len(), 32 << 10);
+                    assert!(data.iter().all(|&b| b == want), "op {i} read wrong bytes");
+                }
+            }
+        }
+        let mixed =
+            c.execute_pipelined(&mut f, &mut cl, SimTime::from_secs(1), 0, oversized.clone());
+        assert!(matches!(
+            mixed[0],
+            ClientOpResult::Update(Err(ros2_daos::DaosError::Transport(_)))
+        ));
+        let (data, _) = mixed[1].clone().into_fetch().unwrap();
+        assert!(
+            data.iter().all(|&b| b == 2),
+            "queue-mate still reads its key"
+        );
+        let outcomes: Vec<Outcome> = results.iter().chain(&mixed).map(functional).collect();
+        (outcomes, f, cl, c)
+    };
+    let (ring_out, _f1, cl1, c1) = run(false);
+    let (serial_out, _f2, cl2, c2) = run(true);
+    assert_eq!(ring_out, serial_out, "ring != forced-serial");
+    assert_worlds_agree((&cl1, &c1), (&cl2, &c2), "RF=2 multi-op round trip");
+}

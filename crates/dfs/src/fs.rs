@@ -155,14 +155,15 @@ pub struct Dfs {
     next_ino: u64,
     root: ObjectId,
     mounted: bool,
-    /// When set, data-path ops (file reads/writes) go through the client's
-    /// submission/completion ring ([`ObjectClient::execute_pipelined`])
-    /// instead of the serial `update`/`fetch` and barriered
-    /// `execute_batch` paths. Functionally identical — epochs are still
-    /// allocated in submission order — but the client books only the
-    /// submission share of its per-op CPU on the job core, so consecutive
-    /// calls overlap the completion share. Off by default: classic worlds
-    /// keep today's bit-exact cost accounting.
+    /// When set, single-chunk reads and writes also go through the
+    /// client's submission/completion ring
+    /// ([`ObjectClient::execute_pipelined`]) instead of the serial
+    /// `update`/`fetch` pair; striped ops always take the ring.
+    /// Functionally identical — epochs are still allocated in submission
+    /// order — but the ring books only the submission share of the per-op
+    /// client CPU on the job core, so consecutive calls overlap the
+    /// completion share. Off by default: classic worlds keep the serial
+    /// cost accounting their pinned results were measured with.
     data_pipeline: bool,
     /// Namespace (metadata) operations performed.
     pub meta_ops: u64,
@@ -469,7 +470,7 @@ impl Dfs {
             // size update below still runs, as it always has).
         } else if single_chunk && !self.data_pipeline {
             // The common case (FIO block sizes never exceed the chunk):
-            // one update, no batch bookkeeping.
+            // one serial update.
             let at = s.client.update(
                 s.fabric,
                 s.cluster,
@@ -485,10 +486,9 @@ impl Dfs {
             )?;
             t_done = t_done.max(at);
         } else {
-            // Striped write: one fan-out across the chunks' shards instead
-            // of a serial round-trip per chunk. Pipelined mode submits the
-            // whole stripe set to the op ring at depth = stripes — phases
-            // overlap as resources free up, no barrier between stages.
+            // Striped (or pipelined) write: the whole stripe set goes to the
+            // op ring at depth = stripes, so the chunks' phases overlap as
+            // resources free up and every leg is fenced by map revision.
             let mut ops = Vec::new();
             while pos < len {
                 let abs = offset + pos;
@@ -504,12 +504,9 @@ impl Dfs {
                 });
                 pos += take;
             }
-            let results = if self.data_pipeline {
-                s.client
-                    .execute_pipelined(s.fabric, s.cluster, now, job, ops)
-            } else {
-                s.client.execute_batch(s.fabric, s.cluster, now, job, ops)
-            };
+            let results = s
+                .client
+                .execute_pipelined(s.fabric, s.cluster, now, job, ops);
             for r in results {
                 t_done = t_done.max(r.into_update()?);
             }
@@ -549,45 +546,28 @@ impl Dfs {
         if len == 0 {
             return Ok((Bytes::new(), now));
         }
-        // Zero-copy fast path: a read confined to one chunk is a single
-        // fetch whose payload can be handed back without reassembly (the
-        // common case — FIO block sizes never exceed the 1 MiB chunk).
-        if offset / self.chunk_size == (offset + len - 1) / self.chunk_size {
-            let chunk = offset / self.chunk_size;
-            let in_chunk = offset % self.chunk_size;
-            // Pipelined mode still takes the zero-copy single-fetch path —
-            // the ring returns the engine's payload without reassembly.
-            if self.data_pipeline {
-                let op = ClientOp::Fetch {
-                    oid: file.oid,
-                    dkey: DKey::from_u64(chunk),
-                    akey: data_akey(),
-                    kind: ValueKind::Array { offset: in_chunk },
-                    epoch: Epoch::LATEST,
-                    len,
-                };
-                let mut results =
-                    s.client
-                        .execute_pipelined(s.fabric, s.cluster, now, job, vec![op]);
-                let (piece, at) = results.remove(0).into_fetch()?;
-                return Ok((piece, at));
-            }
+        // The common case (FIO block sizes never exceed the 1 MiB chunk):
+        // one serial fetch whose payload is handed back zero-copy.
+        let single_chunk = offset / self.chunk_size == (offset + len - 1) / self.chunk_size;
+        if single_chunk && !self.data_pipeline {
             let (piece, at) = s.client.fetch(
                 s.fabric,
                 s.cluster,
                 now,
                 job,
                 file.oid,
-                DKey::from_u64(chunk),
+                DKey::from_u64(offset / self.chunk_size),
                 data_akey(),
-                ValueKind::Array { offset: in_chunk },
+                ValueKind::Array {
+                    offset: offset % self.chunk_size,
+                },
                 Epoch::LATEST,
                 len,
             )?;
             return Ok((piece, at));
         }
-        // Striped read: one batched fan-out across the chunks' shards,
-        // stitched back in offset order.
+        // Striped (or pipelined) read: one fetch per chunk, all submitted
+        // to the op ring at depth = stripes.
         let mut ops = Vec::new();
         let mut pos = 0u64;
         while pos < len {
@@ -605,14 +585,16 @@ impl Dfs {
             });
             pos += take;
         }
+        let mut results = s
+            .client
+            .execute_pipelined(s.fabric, s.cluster, now, job, ops);
+        // A lone piece goes back as the engine's payload, without
+        // reassembly; stripes are stitched in offset order.
+        if results.len() == 1 {
+            return Ok(results.pop().expect("one result").into_fetch()?);
+        }
         let mut out = bytes::BytesMut::with_capacity(len as usize);
         let mut t_done = now;
-        let results = if self.data_pipeline {
-            s.client
-                .execute_pipelined(s.fabric, s.cluster, now, job, ops)
-        } else {
-            s.client.execute_batch(s.fabric, s.cluster, now, job, ops)
-        };
         for r in results {
             let (piece, at) = r.into_fetch()?;
             out.extend_from_slice(&piece);

@@ -74,7 +74,7 @@ impl DpuTenantSpec {
 pub struct DpuStats {
     /// Data-plane I/Os that ran fully on the DPU.
     pub ops_offloaded: u64,
-    /// Host→DPU doorbell submits (batches count once).
+    /// Host→DPU doorbell submits (a multi-op submission counts once).
     pub host_submits: u64,
     /// Host completion-queue polls.
     pub host_polls: u64,
@@ -590,9 +590,9 @@ impl DpuClient {
     /// Re-registers `(lane, local)`'s staging MR when its rkey would be
     /// within [`RKEY_REFRESH_MARGIN`] plus `horizon` of expiry at `start`
     /// — in-flight pulls never outlive their rkey, and leaked rkeys still
-    /// die. `horizon` is zero for serial ops; batches pass a conservative
-    /// upper bound on their own span, since the whole fan-out runs on the
-    /// registration checked here.
+    /// die. `horizon` is a conservative upper bound on the span of the ops
+    /// that run on the registration checked here: one op on the serial
+    /// path, the whole queue on the ring.
     fn ensure_rkey(
         &mut self,
         fabric: &mut Fabric,
@@ -632,7 +632,7 @@ impl DpuClient {
     /// op's own span). Returns the lane/local indices and the instant the
     /// data-plane phases may start. The op is counted as offloaded here —
     /// once the preamble clears, the DPU runs it, successful or not (the
-    /// same attempt semantics as the batch path and the inner client's
+    /// same attempt semantics as the ring path and the inner client's
     /// `ops()` counter).
     #[allow(clippy::too_many_arguments)]
     fn offload_start(
@@ -750,119 +750,6 @@ impl ObjectClient for DpuClient {
         Ok((data, at))
     }
 
-    fn execute_batch(
-        &mut self,
-        fabric: &mut Fabric,
-        cluster: &mut EngineCluster,
-        now: SimTime,
-        job: usize,
-        ops: Vec<ClientOp>,
-    ) -> Vec<ClientOpResult> {
-        let (lane, local) = self.job_map[job];
-        let n = ops.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let total_bytes: u64 = ops
-            .iter()
-            .map(|op| match op {
-                ClientOp::Update { data, .. } => data.len() as u64,
-                ClientOp::Fetch { len, .. } => *len,
-            })
-            .sum();
-        // One doorbell ring covers the whole queue (the batching win the
-        // host keeps even though it no longer runs the client).
-        let submitted = match self.host_submit(now, lane, n as u32, total_bytes) {
-            Ok(t) => t,
-            Err(e) => return whole_batch_error(&ops, e),
-        };
-        // Every op is admitted individually — tenant buckets see each byte.
-        let mut start = submitted;
-        for op in &ops {
-            let (bytes, is_update) = match op {
-                ClientOp::Update { data, .. } => (data.len() as u64, true),
-                ClientOp::Fetch { len, .. } => (*len, false),
-            };
-            let granted = match self.admit(submitted, lane, bytes) {
-                Ok(t) => t,
-                Err(e) => return whole_batch_error(&ops, e),
-            };
-            let mut t = granted + self.agent.inline_cost(bytes);
-            if is_update {
-                t += self.crc_cost(bytes);
-            }
-            start = start.max(t);
-        }
-        // The whole fan-out runs against the registration checked here, so
-        // cover the batch's own span. Scopes must exceed this bound for a
-        // batch to be safe at all; every shipped world's scope (≥ 100 ms
-        // vs multi-chunk batches of a few tens of MiB) does.
-        let span = Self::span_bound(n as u64, total_bytes);
-        if let Err(e) = self.ensure_rkey(fabric, lane, local, start, span) {
-            return whole_batch_error(&ops, e);
-        }
-        self.stats.ops_offloaded += n as u64;
-        // Cache interaction, before anything executes: punch every record
-        // the batch writes (write-through), then probe the remaining
-        // latest-epoch fetches. A fetch of a record this same batch writes
-        // never probes — the engine's execution order decides its bytes.
-        // The batch path probes but does not fill (fills are the pipelined
-        // and serial paths' job, where leader-route provenance is cheap to
-        // establish per op).
-        let mut hits: Vec<Option<Bytes>> = vec![None; n];
-        if self.lanes[lane].cache.is_some() {
-            let written = punch_batch_writes(self.lanes[lane].cache.as_mut().unwrap(), &ops);
-            let map_version = cluster.map().version();
-            let commit = cluster.container_epoch(self.lanes[lane].daos.container());
-            for (i, op) in ops.iter().enumerate() {
-                if let Some(key) = probeable_key(op, &written) {
-                    hits[i] = self.lanes[lane]
-                        .cache
-                        .as_mut()
-                        .expect("checked is_some")
-                        .probe(&key, map_version, commit);
-                }
-            }
-        }
-        let mut inner_idx = Vec::with_capacity(n);
-        let mut inner_ops = Vec::with_capacity(n);
-        for (i, op) in ops.into_iter().enumerate() {
-            if hits[i].is_none() {
-                inner_idx.push(i);
-                inner_ops.push(op);
-            }
-        }
-        let results = self.lanes[lane]
-            .daos
-            .execute_batch(fabric, cluster, start, local, inner_ops);
-        let mut out: Vec<Option<ClientOpResult>> = (0..n).map(|_| None).collect();
-        for (slot, r) in results.into_iter().enumerate() {
-            out[inner_idx[slot]] = Some(match r {
-                ClientOpResult::Update(Ok(done)) => {
-                    ClientOpResult::Update(self.host_poll(done, lane, 1))
-                }
-                ClientOpResult::Fetch(Ok((data, ready))) => {
-                    let bytes = data.len() as u64;
-                    ClientOpResult::Fetch(
-                        self.finish_fetch(ready, lane, bytes).map(|at| (data, at)),
-                    )
-                }
-                err => err,
-            });
-        }
-        for (i, hit) in hits.into_iter().enumerate() {
-            if let Some(data) = hit {
-                let ready = start + ReadCache::service_cost(data.len() as u64);
-                out[i] = Some(ClientOpResult::Fetch(
-                    self.host_poll(ready, lane, 1).map(|at| (data, at)),
-                ));
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every slot is a hit or an inner result"))
-            .collect()
-    }
-
     fn execute_pipelined(
         &mut self,
         fabric: &mut Fabric,
@@ -883,8 +770,8 @@ impl ObjectClient for DpuClient {
                 ClientOp::Fetch { len, .. } => *len,
             })
             .sum();
-        // One doorbell ring announces the whole queue, exactly like the
-        // batch path — the host-side cost does not grow with depth.
+        // One doorbell ring announces the whole queue — the host-side cost
+        // does not grow with depth.
         let submitted = match self.host_submit(now, lane, n as u32, total_bytes) {
             Ok(t) => t,
             Err(e) => return whole_batch_error(&ops, e),
@@ -927,7 +814,7 @@ impl ObjectClient for DpuClient {
         let mut hits: Vec<Option<Bytes>> = vec![None; n];
         let mut fill_keys: Vec<Option<(CacheKey, u64)>> = vec![None; n];
         if self.lanes[lane].cache.is_some() {
-            let written = punch_batch_writes(self.lanes[lane].cache.as_mut().unwrap(), &ops);
+            let written = punch_writes(self.lanes[lane].cache.as_mut().unwrap(), &ops);
             for (i, op) in ops.iter().enumerate() {
                 let Some(key) = probeable_key(op, &written) else {
                     continue;
@@ -1015,7 +902,7 @@ impl ObjectClient for DpuClient {
 /// returns the written key set: fetches of those records inside the same
 /// call must neither probe nor fill, because the call's own execution
 /// order — not the cache — decides their bytes.
-fn punch_batch_writes(cache: &mut ReadCache, ops: &[ClientOp]) -> Vec<(ObjectId, DKey, AKey)> {
+fn punch_writes(cache: &mut ReadCache, ops: &[ClientOp]) -> Vec<(ObjectId, DKey, AKey)> {
     let mut written = Vec::new();
     for op in ops {
         if let ClientOp::Update {
@@ -1287,15 +1174,21 @@ mod tests {
                 data: Bytes::from(vec![4u8; 128 << 10]),
             })
             .collect();
-        let results = c.execute_batch(&mut fabric, &mut cluster, SimTime::ZERO, 0, ops);
+        let results = c.execute_pipelined(&mut fabric, &mut cluster, SimTime::ZERO, 0, ops);
         assert_eq!(results.len(), 8);
         for r in results {
             r.into_update().unwrap();
         }
         let s = c.dpu_stats();
-        assert_eq!(s.host_submits, 1, "one doorbell for the whole batch");
+        assert_eq!(s.host_submits, 1, "one doorbell for the whole queue");
         assert_eq!(s.host_polls, 8, "every completion is reaped");
+        assert_eq!(s.ops_offloaded, 8);
         assert_eq!(s.bytes_admitted, 8 * (128 << 10));
+        assert_eq!(
+            c.tenants().tenant("t").unwrap().qos.admitted.0,
+            8,
+            "one admission per op"
+        );
     }
 
     #[test]

@@ -162,9 +162,7 @@ fn namespace_errors_are_typed() {
 /// The cluster failure cycle end to end, at the POSIX layer: kill one
 /// engine mid-workload → every read still succeeds (served degraded from
 /// surviving replicas, zero failed ops), online rebuild restores RF, and
-/// the post-rebuild CRC verify passes on every object. Runs with batch
-/// execution forced serial (like the CI shard-equivalence step) so the
-/// scenario is bit-deterministic on any host.
+/// the post-rebuild CRC verify passes on every object.
 #[test]
 fn engine_kill_mid_workload_degrades_then_rebuilds() {
     use ros2::core::ClusterConfig;
@@ -176,7 +174,6 @@ fn engine_kill_mid_workload_degrades_then_rebuilds() {
         ..Ros2Config::default()
     })
     .unwrap();
-    sys.cluster.set_force_serial_batch(true);
 
     let content = |i: usize| Bytes::from(vec![(i * 37 % 251) as u8 + 1; 2 << 20]);
     let mut files = Vec::new();
@@ -274,7 +271,6 @@ fn scheduled_bitrot_is_scrubbed_and_repaired() {
         ..Ros2Config::default()
     })
     .unwrap();
-    sys.cluster.set_force_serial_batch(true);
 
     let content = |i: usize| Bytes::from(vec![(i * 53 % 241) as u8 + 1; 2 << 20]);
     let mut files = Vec::new();
@@ -337,4 +333,58 @@ fn scheduled_bitrot_is_scrubbed_and_repaired() {
         let back = sys.read(f, 0, 2 << 20).expect("post-scrub read").value;
         assert_eq!(back, content(i), "file {i} bytes after scrub repair");
     }
+}
+
+/// Striped DFS I/O rides the op ring, so it routes on the client's cached
+/// map: a kill the client has not heard of yet must be caught by the
+/// engines' revision fence or the leg deadline, recovered by the retry
+/// ladder's map refresh, and lose nothing.
+#[test]
+fn striped_io_is_fenced_and_retried_before_the_map_push_lands() {
+    use ros2::core::{ClusterConfig, FaultPlan};
+    use ros2::sim::SimDuration;
+    let mut sys = Ros2System::launch(Ros2Config {
+        cluster: ClusterConfig {
+            engines: 4,
+            replication_factor: 2,
+        },
+        ..Ros2Config::default()
+    })
+    .unwrap();
+    // The RAS push reaches the client long after the I/O below is done.
+    sys.set_fault_plan(FaultPlan {
+        ras_delay: SimDuration::from_secs(1),
+        ..FaultPlan::none()
+    });
+
+    let content = |i: usize| Bytes::from(vec![(i * 29 % 239) as u8 + 1; 2 << 20]);
+    // One striped op warms the client's cached map.
+    let mut warm = sys.create("/warm").unwrap().value;
+    sys.write(&mut warm, 0, content(0)).unwrap();
+    let mut f = sys.create("/striped").unwrap().value;
+    assert_eq!(sys.retry_stats().map_refreshes, 0);
+
+    let victim = sys
+        .cluster
+        .route_update(&f.oid)
+        .leader()
+        .expect("healthy leader");
+    let killed_at = sys.now();
+    sys.kill_engine(victim).unwrap();
+
+    sys.write(&mut f, 0, content(1))
+        .expect("striped write across the kill");
+    let back = sys.read(&f, 0, 2 << 20).expect("striped read").value;
+    assert_eq!(back, content(1), "striped bytes round-trip");
+    let warm_back = sys.read(&warm, 0, 2 << 20).expect("warm read").value;
+    assert_eq!(warm_back, content(0), "pre-kill bytes survive");
+    assert!(
+        sys.now() < killed_at + SimDuration::from_secs(1),
+        "the I/O must finish before the map push is delivered"
+    );
+
+    let r = sys.retry_stats();
+    assert!(r.fenced + r.timeouts > 0, "stale legs were detected: {r:?}");
+    assert!(r.map_refreshes > 0, "the ladder refreshed the map: {r:?}");
+    assert_eq!(r.exhausted, 0, "no op failed: {r:?}");
 }
