@@ -79,6 +79,31 @@ fn bench_server_pool(c: &mut Criterion) {
     });
 }
 
+fn bench_interval_book(c: &mut Criterion) {
+    // ~50k spaced spans inside the 500 ms prune window: a busy core's
+    // booking history. Each iteration is two bookings: one span appended at
+    // the tail (the O(1) shortcut, which also prunes one span from the
+    // front) and a short job backfilled into the gap 8 spans back — the
+    // slow-path shape of the 4 KiB DPU workload's demands.
+    const PERIOD_NS: u64 = 10_000;
+    let span = SimDuration::from_nanos(PERIOD_NS / 2);
+    let mut pool = ServerPool::new(1);
+    let mut t = 0u64;
+    for _ in 0..50_000 {
+        pool.submit(SimTime::from_nanos(t), span);
+        t += PERIOD_NS;
+    }
+    c.bench_function("interval_book/backfill_deep_50k", |b| {
+        b.iter(|| {
+            pool.submit(SimTime::from_nanos(t), span);
+            let gap = SimTime::from_nanos(t - 8 * PERIOD_NS + PERIOD_NS / 2);
+            let g = pool.submit(gap, SimDuration::from_nanos(50));
+            t += PERIOD_NS;
+            g
+        })
+    });
+}
+
 fn bench_rkey_enforcement(c: &mut Criterion) {
     c.bench_function("verbs/remote_read_check_and_copy_4k", |b| {
         let mut dev = RdmaDevice::new(NodeId(0), 1 << 24, SimRng::new(3));
@@ -124,6 +149,7 @@ criterion_group!(
     bench_crc32c,
     bench_event_queue,
     bench_server_pool,
+    bench_interval_book,
     bench_rkey_enforcement,
     bench_histogram,
     bench_zipf

@@ -16,4 +16,4 @@ pub mod wire;
 
 pub use channel::{ControlChannel, ControlError, ControlModel, Session};
 pub use messages::{ControlRequest, ControlResponse, MemoryCapability, QosToken};
-pub use wire::{WireError, WireReader, WireWriter};
+pub use wire::{WireError, WireReader, WireSink, WireWriter};

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 
-use crate::wire::{WireError, WireReader, WireWriter};
+use crate::wire::{WireError, WireLen, WireReader, WireSink, WireWriter};
 
 /// A capability describing a registered memory window a peer may target.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -196,6 +196,21 @@ impl ControlRequest {
     /// Encodes to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut w = WireWriter::new();
+        self.write(&mut w);
+        w.finish()
+    }
+
+    /// The length of [`Self::encode`]'s output, computed without building
+    /// it.
+    pub fn encoded_len(&self) -> usize {
+        let mut n = WireLen::default();
+        self.write(&mut n);
+        n.0
+    }
+
+    /// The wire format: the one description both [`Self::encode`] and
+    /// [`Self::encoded_len`] run.
+    fn write<S: WireSink>(&self, w: &mut S) {
         match self {
             ControlRequest::Hello { tenant, auth } => {
                 w.u8(0).string(tenant).blob(auth);
@@ -256,7 +271,6 @@ impl ControlRequest {
                 w.u8(14).u64(*version).blob(healths).u32(*pending_dead);
             }
         }
-        w.finish()
     }
 
     /// Decodes from wire bytes.
@@ -314,6 +328,21 @@ impl ControlResponse {
     /// Encodes to wire bytes.
     pub fn encode(&self) -> Bytes {
         let mut w = WireWriter::new();
+        self.write(&mut w);
+        w.finish()
+    }
+
+    /// The length of [`Self::encode`]'s output, computed without building
+    /// it.
+    pub fn encoded_len(&self) -> usize {
+        let mut n = WireLen::default();
+        self.write(&mut n);
+        n.0
+    }
+
+    /// The wire format: the one description both [`Self::encode`] and
+    /// [`Self::encoded_len`] run.
+    fn write<S: WireSink>(&self, w: &mut S) {
         match self {
             ControlResponse::Welcome { session } => {
                 w.u8(0).u64(*session);
@@ -350,7 +379,6 @@ impl ControlResponse {
                 w.u8(8).u64(*version).blob(healths).u32(*pending_dead);
             }
         }
-        w.finish()
     }
 
     /// Decodes from wire bytes.
@@ -392,6 +420,130 @@ impl ControlResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use ros2_sim::SimRng;
+
+    /// A string of `rng`-drawn length mixing one- to four-byte characters,
+    /// so byte length and char count differ.
+    fn text(rng: &mut SimRng) -> String {
+        const CHARS: [char; 4] = ['a', 'é', '€', '𝄞'];
+        let n = rng.below(300) as usize;
+        (0..n).map(|_| CHARS[rng.below(4) as usize]).collect()
+    }
+
+    fn blob(rng: &mut SimRng) -> Bytes {
+        let n = rng.below(5000) as usize;
+        (0..n)
+            .map(|_| rng.below(256) as u8)
+            .collect::<Vec<_>>()
+            .into()
+    }
+
+    /// One request of every variant (tags 0–14), fields drawn from `rng`.
+    fn every_request(rng: &mut SimRng) -> Vec<ControlRequest> {
+        vec![
+            ControlRequest::Hello {
+                tenant: text(rng),
+                auth: blob(rng),
+            },
+            ControlRequest::PoolConnect { pool: text(rng) },
+            ControlRequest::ContOpen {
+                container: text(rng),
+            },
+            ControlRequest::DfsMount,
+            ControlRequest::DfsNamespace { op: blob(rng) },
+            ControlRequest::GetCapability {
+                len: rng.next_u64(),
+                scope_ns: rng.next_u64(),
+            },
+            ControlRequest::QosRequest {
+                ops_per_sec: rng.next_u64(),
+                bytes_per_sec: rng.next_u64(),
+            },
+            ControlRequest::Goodbye,
+            ControlRequest::IoSubmit {
+                ops: rng.next_u64() as u32,
+                bytes: rng.next_u64(),
+            },
+            ControlRequest::IoPoll,
+            ControlRequest::RasEvent {
+                engine: rng.next_u64() as u32,
+                map_version: rng.next_u64(),
+            },
+            ControlRequest::MapQuery,
+            ControlRequest::AggregationReport {
+                container: text(rng),
+                boundary: rng.next_u64(),
+            },
+            ControlRequest::ScrubReport {
+                found: rng.next_u64(),
+                repaired: rng.next_u64(),
+            },
+            ControlRequest::MapPush {
+                version: rng.next_u64(),
+                healths: blob(rng),
+                pending_dead: rng.next_u64() as u32,
+            },
+        ]
+    }
+
+    /// One response of every variant (tags 0–8), fields drawn from `rng`.
+    fn every_response(rng: &mut SimRng) -> Vec<ControlResponse> {
+        vec![
+            ControlResponse::Welcome {
+                session: rng.next_u64(),
+            },
+            ControlResponse::Ok,
+            ControlResponse::Handle {
+                handle: rng.next_u64(),
+            },
+            ControlResponse::NamespaceResult { result: blob(rng) },
+            ControlResponse::Capability(MemoryCapability {
+                rkey: rng.next_u64(),
+                addr: rng.next_u64(),
+                len: rng.next_u64(),
+                expires_ns: rng.next_u64(),
+            }),
+            ControlResponse::Qos(QosToken {
+                tenant: text(rng),
+                ops_per_sec: rng.next_u64(),
+                bytes_per_sec: rng.next_u64(),
+            }),
+            ControlResponse::Error { reason: text(rng) },
+            ControlResponse::IoDone {
+                ops: rng.next_u64() as u32,
+                retries: rng.next_u64() as u32,
+            },
+            ControlResponse::MapUpdate {
+                version: rng.next_u64(),
+                healths: blob(rng),
+                pending_dead: rng.next_u64() as u32,
+            },
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `encoded_len` sizes every variant exactly as `encode` writes it,
+        /// whatever its string and blob lengths.
+        #[test]
+        fn encoded_len_matches_encode(seed in any::<u64>()) {
+            let mut rng = SimRng::new(seed);
+            let reqs = every_request(&mut rng);
+            let tags: Vec<u8> = reqs.iter().map(|r| r.encode()[0]).collect();
+            prop_assert_eq!(tags, (0..=14).collect::<Vec<u8>>());
+            for req in &reqs {
+                prop_assert_eq!(req.encoded_len(), req.encode().len(), "seed {seed}: {req:?}");
+            }
+            let resps = every_response(&mut rng);
+            let tags: Vec<u8> = resps.iter().map(|r| r.encode()[0]).collect();
+            prop_assert_eq!(tags, (0..=8).collect::<Vec<u8>>());
+            for resp in &resps {
+                prop_assert_eq!(resp.encoded_len(), resp.encode().len(), "seed {seed}: {resp:?}");
+            }
+        }
+    }
 
     fn round_trip_req(req: ControlRequest) {
         let encoded = req.encode();

@@ -6,6 +6,61 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+/// A destination for wire-format fields. [`WireWriter`] appends the bytes;
+/// [`WireLen`] only counts them. Message encoders are written once against
+/// this trait, so sizing a message can never disagree with encoding it.
+pub trait WireSink {
+    /// Appends raw bytes — the one primitive every field is built from.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Appends a `u8`.
+    fn u8(&mut self, v: u8) -> &mut Self {
+        self.put(&[v]);
+        self
+    }
+    /// Appends a `u32`.
+    fn u32(&mut self, v: u32) -> &mut Self {
+        self.put(&v.to_le_bytes());
+        self
+    }
+    /// Appends a `u64`.
+    fn u64(&mut self, v: u64) -> &mut Self {
+        self.put(&v.to_le_bytes());
+        self
+    }
+    /// Appends a bool as one byte.
+    fn boolean(&mut self, v: bool) -> &mut Self {
+        self.u8(v as u8)
+    }
+    /// Appends a length-prefixed UTF-8 string.
+    fn string(&mut self, v: &str) -> &mut Self {
+        self.blob(v.as_bytes())
+    }
+    /// Appends a length-prefixed byte blob.
+    fn blob(&mut self, v: &[u8]) -> &mut Self {
+        self.u32(v.len() as u32);
+        self.put(v);
+        self
+    }
+
+    /// Appends a short key (DAOS dkey/akey wire form): a one-byte length
+    /// prefix then the bytes. Keys longer than 255 bytes are not
+    /// representable — the object model never produces them (dkeys are u64
+    /// chunk indices or path components) — and are rejected loudly in
+    /// every build: truncating the length prefix would desynchronize the
+    /// whole frame for the reader.
+    fn key(&mut self, v: &[u8]) -> &mut Self {
+        assert!(
+            v.len() <= u8::MAX as usize,
+            "key of {} bytes exceeds the 255-byte wire form",
+            v.len()
+        );
+        self.u8(v.len() as u8);
+        self.put(v);
+        self
+    }
+}
+
 /// Encoding buffer.
 #[derive(Debug, Default)]
 pub struct WireWriter {
@@ -17,58 +72,26 @@ impl WireWriter {
     pub fn new() -> Self {
         Self::default()
     }
-    /// Appends a `u8`.
-    pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.put_u8(v);
-        self
-    }
-    /// Appends a `u32`.
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.put_u32_le(v);
-        self
-    }
-    /// Appends a `u64`.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.put_u64_le(v);
-        self
-    }
-    /// Appends a bool as one byte.
-    pub fn boolean(&mut self, v: bool) -> &mut Self {
-        self.buf.put_u8(v as u8);
-        self
-    }
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn string(&mut self, v: &str) -> &mut Self {
-        self.buf.put_u32_le(v.len() as u32);
-        self.buf.put_slice(v.as_bytes());
-        self
-    }
-    /// Appends a length-prefixed byte blob.
-    pub fn blob(&mut self, v: &[u8]) -> &mut Self {
-        self.buf.put_u32_le(v.len() as u32);
-        self.buf.put_slice(v);
-        self
-    }
-
-    /// Appends a short key (DAOS dkey/akey wire form): a one-byte length
-    /// prefix then the bytes. Keys longer than 255 bytes are not
-    /// representable — the object model never produces them (dkeys are u64
-    /// chunk indices or path components) — and are rejected loudly in
-    /// every build: truncating the length prefix would desynchronize the
-    /// whole frame for the reader.
-    pub fn key(&mut self, v: &[u8]) -> &mut Self {
-        assert!(
-            v.len() <= u8::MAX as usize,
-            "key of {} bytes exceeds the 255-byte wire form",
-            v.len()
-        );
-        self.buf.put_u8(v.len() as u8);
-        self.buf.put_slice(v);
-        self
-    }
     /// Finalizes into immutable bytes.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
+    }
+}
+
+impl WireSink for WireWriter {
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf.put_slice(bytes);
+    }
+}
+
+/// A sink that counts the bytes an encoding would produce without storing
+/// them, so sizing a message allocates nothing.
+#[derive(Copy, Clone, Debug, Default)]
+pub(crate) struct WireLen(pub(crate) usize);
+
+impl WireSink for WireLen {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
     }
 }
 

@@ -2,7 +2,7 @@
 //! and attribute keys, epochs, and the engine cost model.
 
 use bytes::Bytes;
-use ros2_ctl::{WireError, WireReader, WireWriter};
+use ros2_ctl::{WireError, WireReader, WireSink, WireWriter};
 use ros2_sim::SimDuration;
 
 /// A 128-bit DAOS object identifier. The high word carries the object

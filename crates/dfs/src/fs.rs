@@ -16,7 +16,7 @@
 //! returns virtual-time completion alongside its functional result.
 
 use bytes::Bytes;
-use ros2_ctl::{WireReader, WireWriter};
+use ros2_ctl::{WireReader, WireSink, WireWriter};
 use ros2_daos::{
     AKey, ClientOp, DKey, DaosError, EngineCluster, Epoch, ObjClass, ObjectClient, ObjectId,
     ValueKind,

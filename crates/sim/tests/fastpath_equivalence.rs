@@ -250,3 +250,190 @@ fn steady_state_is_fastpath_and_bounded() {
     );
     assert!(stats.hit_rate() > 0.99);
 }
+
+/// Whether the seed algorithm's book state lets a demand resolve by one of
+/// the two O(1) tail shortcuts (idle tail, or queue at a nonzero demand
+/// inside the last interval) — the placements `ResourceStats` must count
+/// as fast-path hits.
+fn ref_tail_shortcut(book: &RefBook, from: u64, dur: u64) -> bool {
+    match book.spans.last() {
+        None => true,
+        Some(&(start, end)) => end <= from || (from >= start && dur > 0),
+    }
+}
+
+/// Books `dur` on the reference pool, returning the grant and the tail
+/// shortcut classification of the server the seed selection picks.
+fn ref_pool_submit(pool: &mut RefPool, now: u64, dur: u64) -> ((u64, u64), bool) {
+    let mut best: Option<(u64, usize)> = None;
+    for (s, book) in pool.books.iter().enumerate() {
+        let (start, _) = book.earliest(now, dur);
+        if best.is_none_or(|(b, _)| start < b) {
+            best = Some((start, s));
+            if start == now {
+                break;
+            }
+        }
+    }
+    let (_, server) = best.expect("non-empty pool");
+    let fast = ref_tail_shortcut(&pool.books[server], now, dur);
+    (pool.submit(now, dur), fast)
+}
+
+/// Deep-book spacing: one `DEEP_SPAN_NS` booking every `DEEP_PERIOD_NS`,
+/// so neighbours never merge and 500 ms of history holds ~20.8k spans.
+const DEEP_PERIOD_NS: u64 = 24_000;
+const DEEP_SPAN_NS: u64 = 12_000;
+const DEEP_SPANS: u64 = PRUNE_SLACK_NS / DEEP_PERIOD_NS;
+/// The second history window starts here; its first booking prunes the
+/// whole first window in one pass.
+const DEEP_SECOND_WINDOW_NS: u64 = 2 * PRUNE_SLACK_NS + 1_000_000;
+
+/// Submission instants that build a deep, wrapped book: a full window of
+/// spaced bookings, then a second one past the prune horizon. The second
+/// window's first booking pops the entire first window from the ring's
+/// front, and the second window then refills it without pruning, so the
+/// live spans run past the end of the ring's storage and wrap (the
+/// storage holds at most ~2× one window, and both windows together
+/// exceed that).
+fn deep_instants() -> impl Iterator<Item = u64> {
+    let window = |base: u64| (0..DEEP_SPANS).map(move |i| base + i * DEEP_PERIOD_NS);
+    window(0).chain(window(DEEP_SECOND_WINDOW_NS))
+}
+
+/// Distances from the tail to backfill at: 1, 2, every 2^k − 1, 2^k and
+/// 2^k + 1 inside the book, and the whole book.
+fn backfill_distances(len: usize) -> Vec<usize> {
+    let mut ds = vec![1, 2];
+    let mut p = 4;
+    while p + 1 < len {
+        ds.extend([p - 1, p, p + 1]);
+        p *= 2;
+    }
+    ds.push(len);
+    ds
+}
+
+/// The demands a backfill at distance `d` makes against `book`:
+/// `(from, dur)` pairs that land in the gap in front of the span `d` from
+/// the tail, start inside it and scan to the tail with a demand no gap
+/// fits, probe it with a zero-length demand, and (at the whole-book
+/// distance) land before the first span.
+fn backfill_demands(book: &RefBook, d: usize) -> Vec<(u64, u64)> {
+    let len = book.spans.len();
+    let (start, _) = book.spans[len - d];
+    let gap_from = if len - d == 0 {
+        start - DEEP_SPAN_NS // after the pruned history, before the first span
+    } else {
+        book.spans[len - d - 1].1
+    };
+    vec![
+        (gap_from, (start - gap_from) / 2),
+        (start + 1, 10 * DEEP_PERIOD_NS),
+        (start, 0),
+        (start - 1, 1),
+    ]
+}
+
+/// `BandwidthServer::transmit` and `next_free` on a ~20.8k-span wrapped
+/// book: backfills at every distance class match the seed algorithm, and
+/// every placement is classified exactly as the seed's tail shortcuts
+/// would classify it.
+#[test]
+fn deep_book_backfills_match_reference_on_a_pipe() {
+    let rate = 1_000_000_000; // one byte per ns
+    let mut pipe = BandwidthServer::new(rate);
+    let mut oracle = RefPipe::new(rate);
+    let mut ref_fast = 0u64;
+    let mut book = |pipe: &mut BandwidthServer, oracle: &mut RefPipe, now: u64, dur: u64| {
+        ref_fast += u64::from(ref_tail_shortcut(&oracle.book, now, dur));
+        let g = pipe.transmit(SimTime::from_nanos(now), dur);
+        let expect = oracle.transmit(now, dur);
+        assert_eq!(
+            (g.start.as_nanos(), g.finish.as_nanos()),
+            expect,
+            "grant diverged for {dur} ns at t={now}"
+        );
+        assert_eq!(
+            pipe.stats().fastpath_hits,
+            ref_fast,
+            "misclassified at t={now}"
+        );
+    };
+    for now in deep_instants() {
+        book(&mut pipe, &mut oracle, now, DEEP_SPAN_NS);
+    }
+    let len = oracle.book.spans.len();
+    assert!(len >= 20_000, "book holds {len} spans");
+    assert!(
+        oracle.book.spans[0].0 >= DEEP_SECOND_WINDOW_NS,
+        "front never pruned"
+    );
+
+    for d in backfill_distances(len) {
+        for (from, dur) in backfill_demands(&oracle.book, d) {
+            assert_eq!(
+                pipe.next_free(SimTime::from_nanos(from)).as_nanos(),
+                oracle.book.earliest(from, 0).0,
+                "next_free diverged at distance {d}"
+            );
+            book(&mut pipe, &mut oracle, from, dur);
+        }
+    }
+    assert!(pipe.stats().fastpath_hits < pipe.stats().bookings);
+}
+
+/// `ServerPool::submit` and `next_free` with 1–12 servers, every server
+/// holding a ~20.8k-span wrapped book, against the seed algorithm.
+#[test]
+fn deep_book_backfills_match_reference_on_pools() {
+    for servers in [1usize, 2, 5, 12] {
+        let mut pool = ServerPool::new(servers);
+        let mut oracle = RefPool::new(servers);
+        let mut ref_fast = 0u64;
+        let mut book = |pool: &mut ServerPool, oracle: &mut RefPool, now: u64, dur: u64| {
+            let g = pool.submit(SimTime::from_nanos(now), SimDuration::from_nanos(dur));
+            let (expect, fast) = ref_pool_submit(oracle, now, dur);
+            ref_fast += u64::from(fast);
+            assert_eq!(
+                (g.start.as_nanos(), g.finish.as_nanos()),
+                expect,
+                "grant diverged for {dur} ns at t={now} ({servers} servers)"
+            );
+            assert_eq!(
+                pool.stats().fastpath_hits,
+                ref_fast,
+                "misclassified at t={now} ({servers} servers)"
+            );
+        };
+        // One booking per server per period: every server's book is deep.
+        for now in deep_instants() {
+            for _ in 0..servers {
+                book(&mut pool, &mut oracle, now, DEEP_SPAN_NS);
+            }
+        }
+        for b in &oracle.books {
+            assert!(
+                b.spans.len() >= 20_000,
+                "book holds {} spans",
+                b.spans.len()
+            );
+            assert!(b.spans[0].0 >= DEEP_SECOND_WINDOW_NS, "front never pruned");
+        }
+
+        let len = oracle.books[0].spans.len();
+        for d in backfill_distances(len) {
+            // Rotate which server's history sets the demand instants.
+            let target = d % servers;
+            for (from, dur) in backfill_demands(&oracle.books[target], d) {
+                let ref_free = oracle.books.iter().map(|b| b.earliest(from, 0).0).min();
+                assert_eq!(
+                    Some(pool.next_free(SimTime::from_nanos(from)).as_nanos()),
+                    ref_free,
+                    "next_free diverged at distance {d} ({servers} servers)"
+                );
+                book(&mut pool, &mut oracle, from, dur);
+            }
+        }
+    }
+}
